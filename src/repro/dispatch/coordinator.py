@@ -42,7 +42,8 @@ from repro.dispatch.queue import (
     WorkQueue,
     lease_ttl_from_env,
 )
-from repro.metrics import MetricsRegistry, ShardMetrics
+from repro.engine.pool import fold_shard
+from repro.metrics import MetricsRegistry
 from repro.runstate import JOURNAL_NAME, RunCheckpoint, read_journal
 
 
@@ -129,7 +130,7 @@ def run_distributed(
             for index in range(spawn)
         ]
         journal_path = directory / JOURNAL_NAME
-        started = time.time()
+        started = time.monotonic()
         while True:
             done = set(read_journal(journal_path))
             pending = [label for label in labels if label not in done]
@@ -152,7 +153,7 @@ def run_distributed(
                 continue
             if (
                 wait_timeout is not None
-                and time.time() - started >= wait_timeout
+                and time.monotonic() - started >= wait_timeout
             ):
                 raise DispatchError(
                     f"distributed run incomplete after {wait_timeout:g}s: "
@@ -206,15 +207,7 @@ def _fold_metrics(
     one :class:`ShardMetrics` row per shard, plus the lease counters
     derived from the queue's event journal."""
     for label in labels:
-        artifact = verified[label]
-        if isinstance(artifact.registry, MetricsRegistry):
-            metrics.merge(artifact.registry)
-        metrics.add_shard(ShardMetrics(
-            shard_id=label,
-            records=artifact.records,
-            wall_seconds=artifact.wall_seconds,
-            worker_pid=0,
-        ))
+        fold_shard(metrics, label, verified[label])
     if resumed_count:
         metrics.inc("engine.shards.resumed", resumed_count)
     for name, value in sorted(counters.items()):

@@ -51,6 +51,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.atomicio import atomic_write_bytes, atomic_write_text
+from repro.engine.pool import env_number
 from repro.runstate import append_journal_entry
 
 #: Version tag of the queue layout; a manifest with a different tag is
@@ -91,32 +92,14 @@ class LeaseLost(DispatchError):
     the worker was presumed dead and its shard reclaimed."""
 
 
-def _env_seconds(name: str) -> float | None:
-    """Parse an optional seconds knob; errors name the variable."""
-    text = os.environ.get(name)
-    if not text:
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be a positive number of seconds, got {text!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(
-            f"{name} must be a positive number of seconds, got {text!r}"
-        )
-    return value
-
-
 def lease_ttl_from_env(default: float = DEFAULT_LEASE_TTL) -> float:
     """The lease TTL, honouring ``REPRO_LEASE_TTL``."""
-    return _env_seconds("REPRO_LEASE_TTL") or default
+    return env_number("REPRO_LEASE_TTL") or default
 
 
 def heartbeat_interval_from_env(default: float) -> float:
     """The renewal cadence, honouring ``REPRO_HEARTBEAT_INTERVAL``."""
-    return _env_seconds("REPRO_HEARTBEAT_INTERVAL") or default
+    return env_number("REPRO_HEARTBEAT_INTERVAL") or default
 
 
 def _slug(text: str) -> str:
@@ -256,11 +239,11 @@ class WorkQueue:
         self, timeout: float | None = None, poll: float = 0.1
     ) -> dict:
         """Block until the coordinator has seeded the queue."""
-        start = time.time()
+        start = time.monotonic()
         while True:
             if self.manifest_path.exists():
                 return self.manifest()
-            if timeout is not None and time.time() - start >= timeout:
+            if timeout is not None and time.monotonic() - start >= timeout:
                 raise DispatchError(
                     f"no queue manifest appeared in {self.directory} "
                     f"within {timeout:g}s — is the coordinator running?"
@@ -402,18 +385,16 @@ class WorkQueue:
         self._event("reclaim", shard_id, attempt=lease.attempt)
         return True
 
-    def claim_chunk(self, shard_ids, limit: int) -> list[Lease]:
-        """Claim up to *limit* shards from *shard_ids*, reclaiming any
-        expired leases met along the way.
+    def claim(self, shard_ids) -> Lease | None:
+        """Claim the first claimable shard of *shard_ids*, reclaiming
+        any expired leases met along the way; None if every shard is
+        leased elsewhere.
 
         The grant attempt is derived from the event history (one past
         grant ⇒ attempt 1, …), so it survives any interleaving of
         claimants — whoever wins the ``O_EXCL`` create after a reclaim
         runs the shard with the incremented attempt.
         """
-        granted: list[Lease] = []
-        if limit <= 0:
-            return granted
         attempts = self.grant_attempts()
         now = time.time()
         for shard_id in shard_ids:
@@ -423,14 +404,13 @@ class WorkQueue:
                     continue
                 if not self.reclaim_expired(shard_id, now):
                     continue
-            next_attempt = attempts.get(shard_id)
-            next_attempt = 0 if next_attempt is None else next_attempt + 1
-            lease = self.try_claim(shard_id, attempt=next_attempt)
+            last = attempts.get(shard_id)
+            lease = self.try_claim(
+                shard_id, attempt=0 if last is None else last + 1
+            )
             if lease is not None:
-                granted.append(lease)
-                if len(granted) >= limit:
-                    break
-        return granted
+                return lease
+        return None
 
     # -- the event journal -------------------------------------------------
 

@@ -6,12 +6,13 @@ stateless — everything it knows comes from the shared directory:
 1. wait for the coordinator's ``queue/QUEUE.json`` and rebuild the job
    (config, shard plan, task) from it — every worker derives the same
    ordered shard labels and payloads;
-2. claim a chunk of unfinished shards (``O_EXCL`` lease files; chunk
-   size adapts to measured shard throughput via
-   :class:`~repro.dispatch.sizing.AdaptiveChunker`);
-3. renew the held leases from a background heartbeat thread while the
-   shards execute under the engine's retry policy and fault plan;
-4. record each finished shard into the run ledger exactly as a
+2. claim one unfinished shard (an ``O_EXCL`` lease file) — one lease
+   per claim, so a worker never holds shards it is not running and
+   an idle peer can always take the next one;
+3. renew that lease from a background heartbeat thread while the
+   shard runs through the engine's retry loop
+   (:func:`~repro.engine.pool.run_with_retry`) under its fault plan;
+4. record the finished shard into the run ledger exactly as a
    single-box checkpointed run would (atomic checksummed artifact,
    then an fsync'd journal line), then release the lease;
 5. exit once every planned shard is journaled.
@@ -40,16 +41,15 @@ from repro.dispatch.queue import (
     WorkQueue,
     heartbeat_interval_from_env,
 )
-from repro.dispatch.sizing import AdaptiveChunker
 from repro.engine.pool import (
+    Instrumented,
     RetryPolicy,
     ShardError,
-    _Instrumented,
-    _run_attempt,
-    _shard_records,
+    fold_shard,
+    run_with_retry,
 )
 from repro.faults import fault_point, plan_from_env, use_fault_plan
-from repro.metrics import MetricsRegistry, ShardMetrics
+from repro.metrics import MetricsRegistry
 from repro.runstate import JOURNAL_NAME, RunCheckpoint, read_journal
 
 
@@ -67,21 +67,20 @@ class WorkerSummary:
 
 
 class _Heartbeat:
-    """Background renewal of the leases a worker currently holds.
+    """Background renewal of the one lease a worker holds.
 
-    The worker registers each claimed lease and withdraws it just
-    before release; the thread renews everything registered every
-    *interval* seconds.  A renewal that discovers the lease was
-    reclaimed (this worker was presumed dead) drops it and counts a
-    loss — the shard may run twice, which determinism makes harmless.
+    The thread renews :attr:`lease` every *interval* seconds, so after
+    the context exits :attr:`lease` is the freshest copy to release.  A
+    renewal that discovers the lease was reclaimed (this worker was
+    presumed dead) stops renewing and sets :attr:`lost` — the shard may
+    run twice, which determinism makes harmless.
     """
 
-    def __init__(self, queue: WorkQueue, interval: float):
+    def __init__(self, queue: WorkQueue, lease, interval: float):
         self.queue = queue
+        self.lease = lease
         self.interval = interval
-        self.lost: list[str] = []
-        self._leases: dict = {}
-        self._lock = threading.Lock()
+        self.lost = False
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="repro-heartbeat", daemon=True
@@ -89,31 +88,13 @@ class _Heartbeat:
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):
-            with self._lock:
-                held = list(self._leases.items())
-            for shard_id, lease in held:
-                try:
-                    renewed = self.queue.renew(lease)
-                except LeaseLost:
-                    with self._lock:
-                        self._leases.pop(shard_id, None)
-                    self.lost.append(shard_id)
-                except OSError:
-                    continue  # transient fs trouble; retry next beat
-                else:
-                    with self._lock:
-                        if shard_id in self._leases:
-                            self._leases[shard_id] = renewed
-
-    def hold(self, lease) -> None:
-        with self._lock:
-            self._leases[lease.shard_id] = lease
-
-    def drop(self, shard_id: str):
-        """Withdraw a lease from renewal; returns its freshest copy
-        (the heartbeat may have renewed it since the claim)."""
-        with self._lock:
-            return self._leases.pop(shard_id, None)
+            try:
+                self.lease = self.queue.renew(self.lease)
+            except LeaseLost:
+                self.lost = True
+                return
+            except OSError:
+                continue  # transient fs trouble; retry next beat
 
     def __enter__(self) -> "_Heartbeat":
         self._thread.start()
@@ -141,19 +122,24 @@ def run_worker(
     *startup_timeout* bounds the wait for a coordinator to seed the
     queue; *max_idle* bounds how long the worker idles while other
     workers hold every remaining lease (``None`` trusts lease expiry
-    for liveness and waits indefinitely).  A shard that fails its whole
-    retry budget is released back to the queue (a ``requeue`` event)
-    and the worker exits with :class:`~repro.engine.pool.ShardError` —
-    strict semantics, matching the single-box default.
+    for liveness and waits indefinitely).
+
+    Each leased shard runs through the engine's retry loop starting at
+    the lease attempt.  The ``worker.kill`` fault site fires first,
+    under the lease attempt — the chaos harness's hook for killing a
+    worker that has just claimed a shard, which is precisely the state
+    a reclaim must recover from.  A shard that fails its whole retry
+    budget is released back to the queue (a ``requeue`` event) and the
+    worker exits with :class:`~repro.engine.pool.ShardError` — strict
+    semantics, matching the single-box default.
     """
     directory = Path(directory)
     queue = WorkQueue(directory, worker_id)
     manifest = queue.wait_for_manifest(timeout=startup_timeout)
     job = job_from_spec(manifest["job"])
-    ttl = queue.ttl()
     if heartbeat_interval is None:
         heartbeat_interval = heartbeat_interval_from_env(
-            max(ttl / 3.0, 0.05)
+            max(queue.ttl() / 3.0, 0.05)
         )
     if retry is None:
         retry = RetryPolicy.from_env()
@@ -162,12 +148,11 @@ def run_worker(
 
     labels = job.labels()
     payloads = job.payloads()
-    task = _Instrumented(job.task())
+    task = Instrumented(job.task())
     # A lock-less RunCheckpoint: record() only appends to the shared
     # journal and writes pid-unique artifacts, so workers share the
     # ledger without touching the coordinator's LOCK.
     ledger = RunCheckpoint(directory, job.fingerprint())
-    chunker = AdaptiveChunker(target_seconds=max(ttl / 2.0, 0.01))
     summary = WorkerSummary(worker_id=queue.worker_id)
     journal_path = directory / JOURNAL_NAME
     idle_since: float | None = None
@@ -188,9 +173,9 @@ def run_worker(
         remaining = [label for label in labels if label not in done]
         if not remaining:
             break
-        leases = queue.claim_chunk(remaining, chunker.chunk_size())
-        if not leases:
-            now = time.time()
+        lease = queue.claim(remaining)
+        if lease is None:
+            now = time.monotonic()
             idle_since = idle_since or now
             if max_idle is not None and now - idle_since >= max_idle:
                 raise DispatchError(
@@ -201,74 +186,36 @@ def run_worker(
             time.sleep(poll_interval)
             continue
         idle_since = None
-        publish("running", [lease.shard_id for lease in leases])
-        with _Heartbeat(queue, heartbeat_interval) as heartbeat:
-            for lease in leases:
-                heartbeat.hold(lease)
-                run = _execute_shard(
-                    queue, lease, task, payloads[lease.shard_id],
-                    retry, fault_plan, heartbeat, summary, metrics,
+        shard_id = lease.shard_id
+        publish("running", [shard_id])
+        if fault_plan is not None:
+            with use_fault_plan(
+                fault_plan, shard_id=shard_id, attempt=lease.attempt
+            ):
+                fault_point("worker.kill")
+        failure = None
+        with _Heartbeat(queue, lease, heartbeat_interval) as heartbeat:
+            try:
+                run = run_with_retry(
+                    task, payloads[shard_id], shard_id, retry, fault_plan,
+                    metrics, first_attempt=lease.attempt,
                 )
-                ledger.record(
-                    lease.shard_id, run.result,
-                    records=_shard_records(run),
-                    wall_seconds=run.wall_seconds,
-                    registry=run.registry,
-                )
-                current = heartbeat.drop(lease.shard_id) or lease
-                queue.release(current, completed=True)
-                chunker.observe(run.wall_seconds)
-                summary.executed += 1
-                summary.records += _shard_records(run)
-                summary.wall_seconds += run.wall_seconds
-                summary.shards.append(lease.shard_id)
-                if metrics is not None:
-                    metrics.merge(run.registry)
-                    metrics.add_shard(ShardMetrics(
-                        shard_id=lease.shard_id,
-                        records=_shard_records(run),
-                        wall_seconds=run.wall_seconds,
-                        worker_pid=run.worker_pid,
-                    ))
-                    metrics.inc("dispatch.shards.executed")
-            summary.lost += len(heartbeat.lost)
+            except Exception as error:
+                failure = error
+            else:
+                run.record(ledger, shard_id)
+        summary.lost += heartbeat.lost
+        if failure is not None:
+            queue.release(heartbeat.lease, completed=False)
+            summary.requeued += 1
+            raise ShardError(shard_id, failure) from failure
+        queue.release(heartbeat.lease, completed=True)
+        summary.executed += 1
+        summary.records += run.records
+        summary.wall_seconds += run.wall_seconds
+        summary.shards.append(shard_id)
+        if metrics is not None:
+            fold_shard(metrics, shard_id, run)
+            metrics.inc("dispatch.shards.executed")
     publish("done", [])
     return summary
-
-
-def _execute_shard(
-    queue, lease, task, payload, retry, fault_plan, heartbeat, summary,
-    metrics,
-):
-    """One leased shard through the engine's retry loop.
-
-    The ``worker.kill`` fault site fires first, under the *lease*
-    attempt — the chaos harness's hook for killing a worker that has
-    just claimed a shard, which is precisely the state a reclaim must
-    recover from.  Execution attempts then run under
-    ``lease.attempt + local_attempt``, so retry gating stays monotone
-    across reclaims exactly as it is across single-box retries.
-    """
-    if fault_plan is not None:
-        with use_fault_plan(
-            fault_plan, shard_id=lease.shard_id, attempt=lease.attempt
-        ):
-            fault_point("worker.kill")
-    attempt = 0
-    while True:
-        try:
-            return _run_attempt(
-                task, payload, lease.shard_id,
-                lease.attempt + attempt, fault_plan,
-            )
-        except Exception as error:
-            if attempt < retry.max_retries:
-                if metrics is not None:
-                    metrics.inc("engine.shard_retries")
-                time.sleep(retry.backoff_seconds(attempt))
-                attempt += 1
-                continue
-            current = heartbeat.drop(lease.shard_id) or lease
-            queue.release(current, completed=False)
-            summary.requeued += 1
-            raise ShardError(lease.shard_id, error) from error

@@ -134,45 +134,36 @@ class RetryPolicy:
     @classmethod
     def from_env(cls) -> "RetryPolicy":
         """The default policy, honouring ``REPRO_MAX_SHARD_RETRIES``
-        and ``REPRO_SHARD_TIMEOUT``.
-
-        A malformed value raises a :class:`ValueError` naming the
-        variable and the offending text, never a bare parse traceback.
-        """
-        retries = _env_number(
-            "REPRO_MAX_SHARD_RETRIES", int, "a non-negative integer"
-        )
-        timeout = _env_number(
-            "REPRO_SHARD_TIMEOUT", float, "a positive number of seconds"
-        )
-        if retries is not None and retries < 0:
-            raise ValueError(
-                "REPRO_MAX_SHARD_RETRIES must be a non-negative integer, "
-                f"got {os.environ['REPRO_MAX_SHARD_RETRIES']!r}"
-            )
-        if timeout is not None and timeout <= 0:
-            raise ValueError(
-                "REPRO_SHARD_TIMEOUT must be a positive number of "
-                f"seconds, got {os.environ['REPRO_SHARD_TIMEOUT']!r}"
-            )
+        and ``REPRO_SHARD_TIMEOUT`` (see :func:`env_number`)."""
+        retries = env_number("REPRO_MAX_SHARD_RETRIES", integer=True)
         return cls(
             max_retries=2 if retries is None else retries,
-            timeout=timeout,
+            timeout=env_number("REPRO_SHARD_TIMEOUT"),
         )
 
 
-def _env_number(name: str, parse, expected: str):
-    """Parse an optional numeric environment knob with an actionable
-    error: the message names the variable and quotes the bad text."""
+def env_number(name: str, *, integer: bool = False):
+    """An optional numeric environment knob; None when unset or empty.
+
+    An ``integer`` knob is a count and must be >= 0; any other knob is
+    a number of seconds and must be > 0.  A malformed value raises a
+    :class:`ValueError` naming the variable and quoting the bad text,
+    never a bare parse traceback.
+    """
     text = os.environ.get(name)
     if not text:
         return None
     try:
-        return parse(text)
+        value = int(text) if integer else float(text)
     except ValueError:
-        raise ValueError(
-            f"{name} must be {expected}, got {text!r}"
-        ) from None
+        value = None
+    if value is None or value < 0 or (value == 0 and not integer):
+        expected = (
+            "a non-negative integer" if integer
+            else "a positive number of seconds"
+        )
+        raise ValueError(f"{name} must be {expected}, got {text!r}")
+    return value
 
 
 def _make_executor(workers: int):
@@ -212,16 +203,47 @@ def _run_attempt(
 
 
 @dataclass
-class _ShardRun:
-    """What an instrumented shard sends back to the parent."""
+class ShardRun:
+    """One settled shard: its result plus how it ran.
+
+    An :class:`Instrumented` task returns one with the shard's
+    worker-local registry, wall time and pid; a bare result wrapped
+    for the run ledger carries only the result.
+    """
 
     result: Any
-    registry: MetricsRegistry
-    wall_seconds: float
-    worker_pid: int
+    registry: MetricsRegistry | None = None
+    wall_seconds: float = 0.0
+    worker_pid: int = 0
+
+    @property
+    def records(self) -> int:
+        """How many records the shard produced.
+
+        Instrumented shard functions declare it via the
+        ``shard.records`` counter; otherwise a sized result is its own
+        count.
+        """
+        if self.registry is not None:
+            count = self.registry.counters.get("shard.records")
+            if count is not None:
+                return count
+        try:
+            return len(self.result)  # type: ignore[arg-type]
+        except TypeError:
+            return 0
+
+    def record(self, checkpoint: RunCheckpoint, label: str) -> None:
+        """Persist this shard into *checkpoint*'s run ledger."""
+        checkpoint.record(
+            label, self.result,
+            records=self.records,
+            wall_seconds=self.wall_seconds,
+            registry=self.registry,
+        )
 
 
-class _Instrumented:
+class Instrumented:
     """Picklable task wrapper: runs the shard under a fresh registry
     and returns the result together with the shard's metrics."""
 
@@ -230,12 +252,12 @@ class _Instrumented:
     def __init__(self, task: Callable[[P], R]):
         self.task = task
 
-    def __call__(self, payload: P) -> _ShardRun:
+    def __call__(self, payload: P) -> ShardRun:
         registry = MetricsRegistry()
         start = time.perf_counter()
         with use_registry(registry):
             result = self.task(payload)
-        return _ShardRun(
+        return ShardRun(
             result=result,
             registry=registry,
             wall_seconds=time.perf_counter() - start,
@@ -243,19 +265,23 @@ class _Instrumented:
         )
 
 
-def _shard_records(run: _ShardRun) -> int:
-    """How many records the shard produced.
+def fold_shard(metrics: MetricsRegistry, label: str, run) -> None:
+    """Fold one shard's worker registry and its
+    :class:`~repro.metrics.ShardMetrics` row into *metrics*.
 
-    Instrumented shard functions declare it via the ``shard.records``
-    counter; for uninstrumented tasks a sized result is its own count.
+    *run* is a :class:`ShardRun` or a ledger
+    :class:`~repro.runstate.ShardArtifact`.  An artifact carries a
+    registry only when the original run was instrumented, and its row
+    gets ``worker_pid`` 0 — no process ran it this time.
     """
-    count = run.registry.counters.get("shard.records")
-    if count is not None:
-        return count
-    try:
-        return len(run.result)  # type: ignore[arg-type]
-    except TypeError:
-        return 0
+    if isinstance(run.registry, MetricsRegistry):
+        metrics.merge(run.registry)
+    metrics.add_shard(ShardMetrics(
+        shard_id=label,
+        records=run.records,
+        wall_seconds=run.wall_seconds,
+        worker_pid=getattr(run, "worker_pid", 0),
+    ))
 
 
 def _collect_metrics(
@@ -271,11 +297,9 @@ def _collect_metrics(
     ``QUARANTINED`` in the result list.
 
     A :class:`~repro.runstate.ShardArtifact` slot is a shard resumed
-    from a checkpoint ledger: its stored worker registry (when the
-    original run was instrumented) merges in so aggregate counters
-    match an uninterrupted run, its ledger-recorded throughput becomes
-    the :class:`ShardMetrics` row (``worker_pid`` 0 — no process ran
-    it this time), and it counts into ``engine.shards.resumed``.
+    from a checkpoint ledger: it folds in like a fresh shard, so
+    aggregate counters match an uninterrupted run, and counts into
+    ``engine.shards.resumed``.
     """
     results = []
     for label, run in zip(labels, runs):
@@ -284,23 +308,7 @@ def _collect_metrics(
             continue
         if isinstance(run, ShardArtifact):
             metrics.inc("engine.shards.resumed")
-            if isinstance(run.registry, MetricsRegistry):
-                metrics.merge(run.registry)
-            metrics.add_shard(ShardMetrics(
-                shard_id=label,
-                records=run.records,
-                wall_seconds=run.wall_seconds,
-                worker_pid=0,
-            ))
-            results.append(run.result)
-            continue
-        metrics.merge(run.registry)
-        metrics.add_shard(ShardMetrics(
-            shard_id=label,
-            records=_shard_records(run),
-            wall_seconds=run.wall_seconds,
-            worker_pid=run.worker_pid,
-        ))
+        fold_shard(metrics, label, run)
         results.append(run.result)
     return results
 
@@ -410,19 +418,9 @@ def run_sharded(
         resumed = checkpoint.begin(labels)
 
         def record(label: str, outcome) -> None:
-            if isinstance(outcome, _ShardRun):
-                checkpoint.record(
-                    label, outcome.result,
-                    records=_shard_records(outcome),
-                    wall_seconds=outcome.wall_seconds,
-                    registry=outcome.registry,
-                )
-                return
-            try:
-                records = len(outcome)  # type: ignore[arg-type]
-            except TypeError:
-                records = 0
-            checkpoint.record(label, outcome, records=records)
+            if not isinstance(outcome, ShardRun):
+                outcome = ShardRun(outcome)
+            outcome.record(checkpoint, label)
 
     pending = [
         index for index, label in enumerate(labels)
@@ -433,7 +431,7 @@ def run_sharded(
     try:
         if metrics is not None:
             runs = _dispatch(
-                _Instrumented(task), pending_payloads, pending_labels,
+                Instrumented(task), pending_payloads, pending_labels,
                 workers, retry, fault_plan, strict, failures, metrics,
                 record,
             )
@@ -623,26 +621,56 @@ def _run_serial(
     """
     results: list[Any] = []
     for index, (label, payload) in enumerate(zip(labels, payloads)):
-        attempt = 0
-        while True:
-            try:
-                outcome = _run_attempt(task, payload, label, attempt, plan)
-                if record is not None:
-                    record(label, outcome)
-                results.append(outcome)
-                break
-            except Exception as error:
-                if attempt < retry.max_retries:
-                    _note_retry(metrics)
-                    time.sleep(retry.backoff_seconds(attempt))
-                    attempt += 1
-                    continue
-                original = (originals or {}).get(index)
-                if strict and original is not None:
-                    raise ShardError(label, original) from error
-                _settle_failure(
-                    label, error, attempt + 1, strict, failures, metrics
-                )
-                results.append(QUARANTINED)
-                break
+        try:
+            results.append(run_with_retry(
+                task, payload, label, retry, plan, metrics, record=record,
+            ))
+        except Exception as error:
+            original = (originals or {}).get(index)
+            if strict and original is not None:
+                raise ShardError(label, original) from error
+            _settle_failure(
+                label, error, retry.max_retries + 1, strict, failures,
+                metrics,
+            )
+            results.append(QUARANTINED)
     return results
+
+
+def run_with_retry(
+    task: Callable[[P], R],
+    payload: P,
+    label: str,
+    retry: RetryPolicy,
+    plan: FaultPlan | None,
+    metrics: MetricsRegistry | None = None,
+    *,
+    first_attempt: int = 0,
+    record: Callable[[str, Any], None] | None = None,
+) -> R:
+    """Run one shard in this process until an attempt succeeds.
+
+    The engine's one in-process retry loop: the serial path and the
+    dispatch worker both run every shard through it.  Local attempt
+    ``k`` executes under fault-plan attempt ``first_attempt + k`` (a
+    leased shard starts at its lease attempt, so fault gating stays
+    monotone across reclaims); each retry counts
+    ``engine.shard_retries`` and sleeps the policy's backoff.  *record*
+    (the checkpoint hook) runs inside the attempt.  Once the budget is
+    spent the last error propagates.
+    """
+    attempt = 0
+    while True:
+        try:
+            outcome = _run_attempt(
+                task, payload, label, first_attempt + attempt, plan
+            )
+            if record is not None:
+                record(label, outcome)
+            return outcome
+        except Exception:
+            if attempt >= retry.max_retries:
+                raise
+            _note_retry(metrics)
+            time.sleep(retry.backoff_seconds(attempt))
+            attempt += 1

@@ -42,10 +42,8 @@ def queue_status(directory: Path | str) -> dict:
         planned = list(manifest.get("shards") or [])
     except (OSError, json.JSONDecodeError):
         planned = []
-    completed = [
-        label for label in planned
-        if label in read_journal(directory / JOURNAL_NAME)
-    ]
+    journal = read_journal(directory / JOURNAL_NAME)
+    completed = [label for label in planned if label in journal]
     now = time.time()
     leased, expired = [], []
     for label in planned:

@@ -25,11 +25,11 @@ import threading
 import time
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.dispatch import (
-    AdaptiveChunker,
     DispatchError,
     LeaseLost,
     QueueMismatch,
@@ -160,14 +160,14 @@ class TestLeases:
         assert queue.reclaim_expired("s1")
         assert queue.try_claim("s1", attempt=1) is not None
 
-    def test_claim_chunk_increments_attempt_after_reclaim(self, tmp_path):
-        queue = seeded_queue(tmp_path, ttl=0.05)
-        first = queue.claim_chunk(["s1", "s2"], limit=1)
-        assert [lease.attempt for lease in first] == [0]
-        time.sleep(0.06)
-        second = queue.claim_chunk(["s1", "s2"], limit=2)
-        by_shard = {lease.shard_id: lease.attempt for lease in second}
-        assert by_shard == {"s1": 1, "s2": 0}
+    def test_claim_increments_attempt_after_reclaim(self, tmp_path):
+        queue = seeded_queue(tmp_path, ttl=0.2)
+        first = queue.claim(["s1", "s2"])
+        assert (first.shard_id, first.attempt) == ("s1", 0)
+        assert queue.claim(["s1"]) is None  # still leased
+        time.sleep(0.25)
+        assert queue.claim(["s1", "s2"]).attempt == 1  # reclaimed s1
+        assert queue.claim(["s2"]).attempt == 0
 
     def test_event_log_survives_torn_lines(self, tmp_path):
         queue = seeded_queue(tmp_path)
@@ -209,6 +209,30 @@ class TestQueueManifest:
         with pytest.raises(DispatchError, match="coordinator"):
             queue.wait_for_manifest(timeout=0.05, poll=0.01)
 
+    def test_wall_clock_step_does_not_end_wait_early(
+        self, tmp_path, monkeypatch
+    ):
+        """The startup timeout is a duration: an hour-long step of the
+        wall clock per poll must not fire it."""
+        import repro.dispatch.queue as queue_module
+
+        polls = []
+
+        def sleep(seconds):
+            polls.append(seconds)
+            if len(polls) == 3:
+                seeded_queue(tmp_path)
+
+        monkeypatch.setattr(queue_module, "time", SimpleNamespace(
+            time=lambda: time.time() + 3600.0 * len(polls),
+            monotonic=time.monotonic,
+            sleep=sleep,
+        ))
+        waiting = WorkQueue(tmp_path / "run")
+        manifest = waiting.wait_for_manifest(timeout=60.0, poll=0.01)
+        assert manifest["lease_ttl"] == 30.0
+        assert len(polls) == 3
+
     def test_job_spec_round_trips(self, tmp_path):
         job = small_job(tmp_path, batch_size=64)
         rebuilt = job_from_spec(json.loads(json.dumps(job.to_spec())))
@@ -247,35 +271,6 @@ class TestEnvKnobs:
         assert heartbeat_interval_from_env(1.5) == 1.5
         monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.2")
         assert heartbeat_interval_from_env(1.5) == 0.2
-
-
-# -- adaptive shard sizing ---------------------------------------------------
-
-class TestAdaptiveChunker:
-    def test_starts_minimal_until_seeded(self):
-        chunker = AdaptiveChunker(target_seconds=1.0, min_chunk=1,
-                                  max_chunk=8)
-        assert chunker.chunk_size() == 1
-
-    def test_fast_shards_grow_the_chunk(self):
-        chunker = AdaptiveChunker(target_seconds=1.0, max_chunk=8)
-        for _ in range(5):
-            chunker.observe(0.1)
-        assert chunker.chunk_size() == 8
-
-    def test_slow_shards_shrink_the_chunk(self):
-        chunker = AdaptiveChunker(target_seconds=1.0, max_chunk=8)
-        chunker.observe(0.01)
-        assert chunker.chunk_size() > 1
-        for _ in range(10):
-            chunker.observe(5.0)
-        assert chunker.chunk_size() == 1
-
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            AdaptiveChunker(target_seconds=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveChunker(target_seconds=1.0, min_chunk=4, max_chunk=2)
 
 
 # -- in-process distributed runs ---------------------------------------------
@@ -337,6 +332,30 @@ class TestRunDistributed:
                 job, tmp_path / "queue", spawn=0, ttl=20.0,
                 poll_interval=0.02, wait_timeout=0.2,
             )
+
+    def test_worker_holds_one_lease_at_a_time(self, tmp_path):
+        """Regression: a worker leases one shard per claim.  A chunked
+        claim let one worker hoard every remaining shard after a fast
+        first one while its peers sat idle."""
+        days = ("2011-07-22", "2011-07-23", "2011-08-03", "2011-08-04")
+        job = small_job(tmp_path, days=days)
+        queue = WorkQueue(tmp_path / "queue", worker_id="solo")
+        queue.seed(job.to_spec(), ttl=30.0)
+        summary = run_worker(
+            tmp_path / "queue", worker_id="solo", poll_interval=0.02
+        )
+        assert summary.executed == len(days)
+        held = None
+        for event in queue.read_events():
+            if event["event"] == "grant":
+                assert held is None, (
+                    f"{event['shard_id']} granted while {held} was held"
+                )
+                held = event["shard_id"]
+            elif event["event"] == "complete":
+                assert event["shard_id"] == held
+                held = None
+        assert held is None
 
     def test_worker_summary_accounts_for_all_shards(self, tmp_path):
         job = small_job(tmp_path)
