@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.frame import LogFrame
 from repro.logmodel.classify import CENSOR_EXCEPTIONS, NO_EXCEPTION
 from repro.net.url import is_ip_like, registered_domain
 
-_CENSOR_LIST = sorted(CENSOR_EXCEPTIONS)
+
+def isin_mask(
+    frame: LogFrame, name: str, members, key: Callable | None = None
+) -> np.ndarray:
+    """Rows whose column value (mapped through *key*, as in
+    :meth:`LogFrame.factorize`) is in *members*, decided once per
+    distinct value."""
+    values, codes = frame.factorize(name, key)
+    return np.array([value in members for value in values.tolist()], dtype=bool)[codes]
 
 
 def censored_mask(frame: LogFrame) -> np.ndarray:
     """Requests denied by policy (policy_denied / policy_redirect)."""
-    return np.isin(frame.col("x_exception_id"), _CENSOR_LIST)
+    return isin_mask(frame, "x_exception_id", CENSOR_EXCEPTIONS)
 
 
 def allowed_mask(frame: LogFrame) -> np.ndarray:
@@ -46,15 +56,11 @@ def observed_allowed_mask(frame: LogFrame) -> np.ndarray:
 def domain_column(frame: LogFrame) -> np.ndarray:
     """Registered domain of every row's ``cs_host``.
 
-    IP-address hosts map to themselves.  Computed via the distinct
-    hosts (cheap: hosts repeat massively).
+    IP-address hosts map to themselves.  ``registered_domain`` runs
+    once per distinct host, through the frame's memoized factorization.
     """
-    hosts = frame.col("cs_host")
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
-    mapped = np.array(
-        [registered_domain(host) for host in unique_hosts], dtype=object
-    )
-    return mapped[inverse]
+    values, codes = frame.factorize("cs_host", registered_domain)
+    return values[codes]
 
 
 def with_domain(frame: LogFrame) -> LogFrame:
@@ -66,10 +72,21 @@ def with_domain(frame: LogFrame) -> LogFrame:
 
 def ip_host_mask(frame: LogFrame) -> np.ndarray:
     """Rows whose ``cs_host`` is a raw IPv4 address (the D_IPv4 set)."""
-    hosts = frame.col("cs_host")
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
-    flags = np.array([is_ip_like(host) for host in unique_hosts], dtype=bool)
-    return flags[inverse]
+    values, codes = frame.factorize("cs_host", is_ip_like)
+    return values.astype(bool)[codes]
+
+
+def group_counts(
+    frame: LogFrame, name: str, mask: np.ndarray, key: Callable | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(column[mask], return_counts=True)`` for a frame
+    column (optionally mapped through *key*, as in
+    :meth:`LogFrame.factorize`), served from the frame's memoized
+    factorization instead of a sort of the masked rows."""
+    values, codes = frame.factorize(name, key)
+    counts = np.bincount(codes[mask], minlength=len(values))
+    present = counts > 0
+    return values[present], counts[present]
 
 
 def https_mask(frame: LogFrame) -> np.ndarray:

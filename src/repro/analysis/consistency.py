@@ -116,8 +116,8 @@ def proxied_consistency_by_domain(frame: LogFrame) -> ProxiedConsistency:
     domains = domain_column(frame)
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
-    allowed_domains = set(np.unique(domains[allowed]).tolist())
-    censored_domains = set(np.unique(domains[censored & ~proxied]).tolist())
+    allowed_domains = set(domains[allowed].tolist())
+    censored_domains = set(domains[censored & ~proxied].tolist())
 
     consistent = contradictory = undetermined = 0
     for domain in domains[clean_proxied]:

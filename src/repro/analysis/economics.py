@@ -23,11 +23,11 @@ import numpy as np
 
 from repro.analysis.common import (
     censored_mask,
-    domain_column,
     observed_allowed_mask,
     percent,
 )
 from repro.frame import LogFrame
+from repro.net.url import registered_domain
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,8 @@ def censorship_economics(frame: LogFrame) -> EconomicsIndices:
     censored = censored_mask(frame)
     censored_total = int(censored.sum())
 
-    domains = domain_column(frame)
     allowed = observed_allowed_mask(frame)
-    unique_domains, inverse = np.unique(domains, return_inverse=True)
+    unique_domains, inverse = frame.factorize("cs_host", registered_domain)
     allowed_per_domain = np.bincount(
         inverse, weights=allowed, minlength=len(unique_domains)
     )

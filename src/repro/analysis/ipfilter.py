@@ -14,6 +14,7 @@ import numpy as np
 from repro.analysis.common import (
     allowed_mask,
     censored_mask,
+    group_counts,
     ip_host_mask,
     percent,
     proxied_mask,
@@ -49,8 +50,7 @@ def country_censorship_ratio(
     """
     if len(ip_frame) == 0:
         return []
-    hosts = ip_frame.col("cs_host")
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = ip_frame.factorize("cs_host")
     addresses = np.array([parse_ipv4(h) for h in unique_hosts], dtype=np.int64)
     countries_of_host = geoip.lookup_many(addresses)
     countries = countries_of_host[inverse]
@@ -95,8 +95,7 @@ def israeli_subnets(
     """Compute Table 12: per-subnet request and address counts."""
     if len(ip_frame) == 0:
         return []
-    hosts = ip_frame.col("cs_host")
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = ip_frame.factorize("cs_host")
     addresses = np.array([parse_ipv4(h) for h in unique_hosts], dtype=np.int64)
     censored = censored_mask(ip_frame)
     allowed = allowed_mask(ip_frame)
@@ -110,7 +109,7 @@ def israeli_subnets(
         def stats(mask: np.ndarray) -> tuple[int, int]:
             selected = row_in_subnet & mask
             requests = int(selected.sum())
-            ips = len(np.unique(hosts[selected])) if requests else 0
+            ips = len(np.unique(inverse[selected]))
             return requests, ips
 
         c_req, c_ips = stats(censored)
@@ -138,8 +137,7 @@ def censored_anonymizer_addresses(
     """The paper's cross-check: how many censored addresses in
     *country* categorize as Anonymizer hosts?  Returns
     (anonymizer count, total censored addresses)."""
-    censored = ip_frame.where(censored_mask(ip_frame))
-    hosts = np.unique(censored.col("cs_host"))
+    hosts, _ = group_counts(ip_frame, "cs_host", censored_mask(ip_frame))
     in_country = [h for h in hosts if geoip.lookup(str(h)) == country]
     anonymizers = sum(
         1 for h in in_country if categorizer.categorize(str(h)) == "Anonymizer"

@@ -16,7 +16,7 @@ from repro.analysis.common import (
     allowed_mask,
     censored_mask,
     denied_mask,
-    domain_column,
+    group_counts,
     https_mask,
     ip_host_mask,
     percent,
@@ -24,6 +24,7 @@ from repro.analysis.common import (
 )
 from repro.frame import LogFrame
 from repro.logmodel.classify import CENSOR_EXCEPTIONS, NO_EXCEPTION
+from repro.net.url import registered_domain
 from repro.stats.powerlaw import requests_per_domain_histogram
 from repro.timeline import epoch_day
 
@@ -134,15 +135,15 @@ class TopDomains:
 
 def top_domains(frame: LogFrame, n: int = 10) -> TopDomains:
     """Compute Table 4."""
-    domains = domain_column(frame)
-    with_dom = frame.with_column("domain", domains)
 
     def rows_for(mask: np.ndarray) -> tuple[DomainRow, ...]:
-        subset = with_dom.where(mask)
-        total = len(subset)
+        domains, counts = group_counts(frame, "cs_host", mask, registered_domain)
+        total = int(counts.sum())
+        # domains are sorted, so a stable sort on count breaks ties by name
+        order = np.argsort(-counts, kind="stable")[:n]
         return tuple(
-            DomainRow(str(domain), count, percent(count, total))
-            for domain, count in subset.groupby("domain").top(n)
+            DomainRow(str(domains[i]), int(c), percent(int(c), total))
+            for i, c in zip(order, counts[order])
         )
 
     return TopDomains(
@@ -186,15 +187,9 @@ class DomainRequestDistribution:
 
 def domain_request_distribution(frame: LogFrame) -> DomainRequestDistribution:
     """Compute Fig. 2's three curves."""
-    domains = domain_column(frame)
-    with_dom = frame.with_column("domain", domains)
 
     def counts_for(mask: np.ndarray) -> np.ndarray:
-        subset = with_dom.where(mask)
-        if len(subset) == 0:
-            return np.empty(0, dtype=int)
-        _, counts = np.unique(subset.col("domain"), return_counts=True)
-        return counts
+        return group_counts(frame, "cs_host", mask, registered_domain)[1]
 
     allowed_counts = counts_for(allowed_mask(frame))
     denied_counts = counts_for(denied_mask(frame))

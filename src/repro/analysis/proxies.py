@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import censored_mask, domain_column
+from repro.analysis.common import censored_mask, domain_column, group_counts
 from repro.frame import LogFrame
 from repro.logmodel.fields import PROXY_NAMES, proxy_name_from_ip
 from repro.stats.similarity import pairwise_cosine
@@ -21,10 +21,8 @@ from repro.timeline import day_span
 
 def proxy_names_column(frame: LogFrame) -> np.ndarray:
     """Map ``s_ip`` to SG-NN names, vectorized over distinct values."""
-    ips = frame.col("s_ip")
-    unique_ips, inverse = np.unique(ips, return_inverse=True)
-    names = np.array([proxy_name_from_ip(ip) for ip in unique_ips], dtype=object)
-    return names[inverse]
+    names, codes = frame.factorize("s_ip", proxy_name_from_ip)
+    return names[codes]
 
 
 @dataclass(frozen=True)
@@ -122,11 +120,9 @@ def category_labels_by_proxy(frame: LogFrame) -> dict[str, dict[str, int]]:
     named ``none`` on two proxies and ``unavailable`` on the rest.
     """
     names = proxy_names_column(frame)
-    labels = frame.col("cs_categories")
     result: dict[str, dict[str, int]] = {}
     for proxy in PROXY_NAMES:
-        mask = names == proxy
-        values, counts = np.unique(labels[mask], return_counts=True)
+        values, counts = group_counts(frame, "cs_categories", names == proxy)
         result[proxy] = {
             str(value): int(count) for value, count in zip(values, counts)
         }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import percent
+from repro.analysis.common import group_counts, percent
 from repro.frame import LogFrame
 
 
@@ -32,9 +32,8 @@ def redirect_hosts(frame: LogFrame, top: int = 10) -> RedirectHosts:
     of filter result (the paper's Table 7 includes PROXIED rows).
     """
     mask = frame.col("x_exception_id") == "policy_redirect"
-    hosts = frame.col("cs_host")[mask]
     total = int(mask.sum())
-    values, counts = np.unique(hosts, return_counts=True)
+    values, counts = group_counts(frame, "cs_host", mask)
     order = np.lexsort((values, -counts))[:top]
     rows = tuple(
         (str(values[i]), int(counts[i]), percent(int(counts[i]), total))

@@ -15,6 +15,7 @@ import numpy as np
 from repro.analysis.common import (
     censored_mask,
     domain_column,
+    isin_mask,
     observed_allowed_mask,
     percent,
     proxied_mask,
@@ -94,8 +95,7 @@ def facebook_pages(frame: LogFrame, min_requests: int = 1) -> list[FacebookPageR
     is case-sensitive (``Syrian.Revolution`` and ``Syrian.revolution``
     are distinct pages in the logs).
     """
-    hosts = frame.col("cs_host")
-    of_facebook = np.isin(hosts, _FACEBOOK_HOSTS)
+    of_facebook = isin_mask(frame, "cs_host", _FACEBOOK_HOSTS)
     paths = frame.col("cs_uri_path")
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
@@ -162,8 +162,7 @@ class PluginRow:
 
 def facebook_plugins(frame: LogFrame, top: int = 10) -> list[PluginRow]:
     """Compute Table 15: per-plugin-element outcomes on facebook.com."""
-    hosts = frame.col("cs_host")
-    of_facebook = np.isin(hosts, _FACEBOOK_HOSTS)
+    of_facebook = isin_mask(frame, "cs_host", _FACEBOOK_HOSTS)
     paths = frame.col("cs_uri_path")
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)

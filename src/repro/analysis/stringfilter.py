@@ -19,31 +19,54 @@ This module automates that process:
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.common import (
     censored_mask,
-    domain_column,
+    isin_mask,
     observed_allowed_mask,
     percent,
     proxied_mask,
 )
 from repro.categorizer import TrustedSourceCategorizer
 from repro.frame import LogFrame
-from repro.net.url import is_ip_like
+from repro.net.url import is_ip_like, registered_domain
 
 _TOKEN_RE = re.compile(r"[a-z0-9]{4,24}")
+# Maximal alphanumeric runs long enough to hold a candidate token.
+_RUN_RE = re.compile(r"[a-z0-9]{4,}")
 
 
-def _matchable_texts(frame: LogFrame, mask: np.ndarray) -> list[str]:
-    hosts = frame.col("cs_host")[mask]
-    paths = frame.col("cs_uri_path")[mask]
-    queries = frame.col("cs_uri_query")[mask]
-    return [
-        f"{h}{p}?{q}".lower() for h, p, q in zip(hosts, paths, queries)
-    ]
+def _matchable_texts(frame: LogFrame, mask: np.ndarray) -> Iterator[str]:
+    hosts = frame.col("cs_host")[mask].tolist()
+    paths = frame.col("cs_uri_path")[mask].tolist()
+    queries = frame.col("cs_uri_query")[mask].tolist()
+    return (f"{h}{p}?{q}".lower() for h, p, q in zip(hosts, paths, queries))
+
+
+def _run_corpus(texts: Iterable[str]) -> str:
+    """The distinct maximal alphanumeric runs of *texts*, newline-joined.
+
+    An alphanumeric token of four or more characters (every candidate
+    token) can only occur inside one run, so it is a substring of this
+    corpus exactly when it is a substring of ``"\\n".join(texts)`` —
+    and the corpus is several times smaller than the texts.
+    """
+    runs: set[str] = set()
+    for text in texts:  # text by text: only the distinct runs are held
+        runs.update(_RUN_RE.findall(text))
+    return "\n".join(sorted(runs))
+
+
+def _allowed_runs(frame: LogFrame) -> str:
+    """The run corpus (:func:`_run_corpus`) of the allowed traffic,
+    computed once per frame however many recovery passes scan it."""
+    return frame.memoized(_allowed_runs, lambda: _run_corpus(
+        _matchable_texts(frame, observed_allowed_mask(frame))
+    ))
 
 
 @dataclass(frozen=True)
@@ -80,21 +103,21 @@ def recover_censored_domains(
     it.  ``min_censored`` suppresses domains with too little traffic
     to judge.
     """
-    domains = domain_column(frame)
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
     proxied = proxied_mask(frame)
     paths = frame.col("cs_uri_path")
     queries = frame.col("cs_uri_query")
-    # Bare request: nothing beyond the hostname to blame.  CONNECT
-    # rows log path/query as '-'.
-    path_strings = paths.astype(str)
+    # Bare request: nothing beyond the hostname to blame — no query and
+    # at most one path segment.  CONNECT rows log path/query as '-'.
     no_query = (queries == "") | (queries == "-")
-    bare = (
-        ((paths == "/") | (paths == "") | (paths == "-")) & no_query
-    ) | (no_query & (np.char.count(path_strings, "/") <= 1))
+    one_segment = np.fromiter(
+        (path.count("/") <= 1 for path in paths.tolist()),
+        dtype=bool, count=len(paths),
+    )
+    bare = no_query & one_segment
 
-    unique_domains, inverse = np.unique(domains, return_inverse=True)
+    unique_domains, inverse = frame.factorize("cs_host", registered_domain)
     n = len(unique_domains)
     censored_counts = np.bincount(inverse, weights=censored, minlength=n).astype(int)
     allowed_counts = np.bincount(inverse, weights=allowed, minlength=n).astype(int)
@@ -112,9 +135,7 @@ def recover_censored_domains(
         nonlocal allowed_corpus
         if token not in token_seen:
             if allowed_corpus is None:
-                allowed_corpus = "\n".join(
-                    _matchable_texts(frame, observed_allowed_mask(frame))
-                )
+                allowed_corpus = _allowed_runs(frame)
             token_seen[token] = token in allowed_corpus
         return token_seen[token]
 
@@ -170,8 +191,6 @@ def recover_censored_hosts(
     per hostname, restricted to hosts whose registered domain is *not*
     already suspected (those are explained by the domain rule).
     """
-    hosts = frame.col("cs_host")
-    domains = domain_column(frame)
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
     paths = frame.col("cs_uri_path")
@@ -179,20 +198,17 @@ def recover_censored_hosts(
     no_query = (queries == "") | (queries == "-")
     bare = ((paths == "/") | (paths == "") | (paths == "-")) & no_query
 
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = frame.factorize("cs_host")
     n = len(unique_hosts)
     censored_counts = np.bincount(inverse, weights=censored, minlength=n).astype(int)
     allowed_counts = np.bincount(inverse, weights=allowed, minlength=n).astype(int)
     bare_censored = np.bincount(inverse, weights=censored & bare, minlength=n).astype(int)
-    domain_of_host = {}
-    for host, domain in zip(hosts, domains):
-        domain_of_host.setdefault(host, domain)
 
     results = []
     for i, host in enumerate(unique_hosts):
         if is_ip_like(str(host)):
             continue
-        if domain_of_host.get(host) in exclude_domains:
+        if registered_domain(host) in exclude_domains:
             continue
         if (
             censored_counts[i] >= min_censored
@@ -219,10 +235,9 @@ def never_allowed_domains(frame: LogFrame) -> frozenset[str]:
     trigger could equally be a domain rule — so the conservative
     keyword hunter excludes them (the paper's step-2 caution).
     """
-    domains = domain_column(frame)
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
-    unique_domains, inverse = np.unique(domains, return_inverse=True)
+    unique_domains, inverse = frame.factorize("cs_host", registered_domain)
     n = len(unique_domains)
     censored_counts = np.bincount(inverse, weights=censored, minlength=n)
     allowed_counts = np.bincount(inverse, weights=allowed, minlength=n)
@@ -236,10 +251,9 @@ def never_allowed_domains(frame: LogFrame) -> frozenset[str]:
 def never_allowed_hosts(frame: LogFrame) -> frozenset[str]:
     """Hosts with censored traffic and no allowed request (the
     host-level analogue of :func:`never_allowed_domains`)."""
-    hosts = frame.col("cs_host")
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = frame.factorize("cs_host")
     n = len(unique_hosts)
     censored_counts = np.bincount(inverse, weights=censored, minlength=n)
     allowed_counts = np.bincount(inverse, weights=allowed, minlength=n)
@@ -281,21 +295,16 @@ def recover_keywords(
         exclude_domains |= never_allowed_domains(frame)
         exclude_hosts |= never_allowed_hosts(frame)
     if exclude_domains:
-        domains = domain_column(frame)
-        censored = censored & ~np.isin(
-            domains, sorted(exclude_domains)
+        censored = censored & ~isin_mask(
+            frame, "cs_host", exclude_domains, registered_domain
         )
     if exclude_hosts:
-        censored = censored & ~np.isin(
-            frame.col("cs_host"), sorted(exclude_hosts)
-        )
-    censored_texts = _matchable_texts(frame, censored)
+        censored = censored & ~isin_mask(frame, "cs_host", exclude_hosts)
+    censored_texts = list(_matchable_texts(frame, censored))
     if not censored_texts:
         return []
     censored_hosts = frame.col("cs_host")[censored].tolist()
-    allowed_corpus = "\n".join(
-        _matchable_texts(frame, observed_allowed_mask(frame))
-    )
+    allowed_corpus = _allowed_runs(frame)
 
     token_counts: dict[str, int] = {}
     for text in censored_texts:

@@ -15,10 +15,11 @@ import numpy as np
 from repro.analysis.common import (
     allowed_mask,
     censored_mask,
-    domain_column,
+    group_counts,
     percent,
 )
 from repro.frame import LogFrame
+from repro.net.url import registered_domain
 from repro.timeline import day_span
 
 BIN_SECONDS = 300  # the paper's 5-minute granularity
@@ -121,7 +122,6 @@ def top_censored_windows(
     start, _ = day_span(day)
     epochs = frame.col("epoch")
     censored = censored_mask(frame)
-    domains = domain_column(frame)
     results = []
     for start_hour, end_hour in windows:
         window = (
@@ -129,9 +129,8 @@ def top_censored_windows(
             & (epochs >= start + start_hour * 3600)
             & (epochs < start + end_hour * 3600)
         )
-        subset = domains[window]
-        total = len(subset)
-        values, counts = np.unique(subset, return_counts=True)
+        values, counts = group_counts(frame, "cs_host", window, registered_domain)
+        total = int(counts.sum())
         order = np.lexsort((values, -counts))[:top]
         rows = tuple(
             (str(values[i]), percent(int(counts[i]), total)) for i in order

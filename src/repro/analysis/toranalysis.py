@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import censored_mask, error_mask, percent
+from repro.analysis.common import censored_mask, error_mask, group_counts, percent
 from repro.analysis.proxies import proxy_names_column
 from repro.frame import LogFrame
+from repro.logmodel.fields import proxy_name_from_ip
 from repro.tornet import TorDirectory
 
 
@@ -44,7 +45,7 @@ def identify_tor_traffic(frame: LogFrame, directory: TorDirectory) -> TorTraffic
     ports = frame.col("cs_uri_port")
     or_endpoints = directory.or_endpoints()
     dir_endpoints = directory.dir_endpoints()
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = frame.factorize("cs_host")
     relay_ips = directory.relay_ips()
     host_is_relay = np.array([h in relay_ips for h in unique_hosts], dtype=bool)
     candidate = host_is_relay[inverse]
@@ -88,11 +89,7 @@ def tor_overview(tor: TorTraffic) -> TorOverview:
     errors = error_mask(frame) & (
         frame.col("x_exception_id") == "tcp_error"
     )
-    by_proxy: dict[str, int] = {}
-    if len(frame):
-        names = proxy_names_column(frame)
-        for name in np.unique(names[censored]):
-            by_proxy[str(name)] = int((censored & (names == name)).sum())
+    names, counts = group_counts(frame, "s_ip", censored, proxy_name_from_ip)
     return TorOverview(
         total_requests=len(frame),
         distinct_relays=frame.nunique("cs_host") if len(frame) else 0,
@@ -100,7 +97,7 @@ def tor_overview(tor: TorTraffic) -> TorOverview:
         censored=int(censored.sum()),
         censored_pct=percent(int(censored.sum()), len(frame)),
         tcp_error_pct=percent(int(errors.sum()), len(frame)),
-        censored_by_proxy=by_proxy,
+        censored_by_proxy={str(n): int(c) for n, c in zip(names, counts)},
         onion_censored=int((censored & tor.onion_mask).sum()),
         http_censored=int((censored & tor.http_mask).sum()),
     )

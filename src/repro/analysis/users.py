@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import censored_mask, percent
+from repro.analysis.common import censored_mask, group_counts, percent
 from repro.frame import LogFrame
 from repro.stats.distributions import cdf_points
 
@@ -62,25 +62,23 @@ def software_agent_analysis(
         from repro.net.useragent import BROWSERS
 
         interactive_agents = frozenset(agent.string for agent in BROWSERS)
-    agents = user_frame.col("cs_user_agent")
+    agents, agent_codes = user_frame.factorize("cs_user_agent")
     censored = censored_mask(user_frame)
-    hosts = user_frame.col("cs_host")
-    clients = user_frame.col("c_ip")
     rows: list[SoftwareAgentRow] = []
-    for agent in np.unique(agents):
+    for code, agent in enumerate(agents):
         if str(agent) in interactive_agents or str(agent) == "-":
             continue
-        of_agent = agents == agent
+        of_agent = agent_codes == code
         requests = int(of_agent.sum())
         agent_censored = of_agent & censored
         censored_count = int(agent_censored.sum())
         top_host = None
         if censored_count:
-            values, counts = np.unique(hosts[agent_censored], return_counts=True)
+            values, counts = group_counts(user_frame, "cs_host", agent_censored)
             top_host = str(values[int(np.argmax(counts))])
         rows.append(SoftwareAgentRow(
             user_agent=str(agent),
-            users=len(np.unique(clients[of_agent])),
+            users=len(group_counts(user_frame, "c_ip", of_agent)[0]),
             requests=requests,
             censored=censored_count,
             censored_pct=percent(censored_count, requests),

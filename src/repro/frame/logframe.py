@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 class LogFrame:
@@ -14,6 +17,13 @@ class LogFrame:
     numeric columns use native dtypes.  All transforming operations
     return new frames; columns are shared, never copied, unless an
     operation must materialize a subset.
+
+    Each frame memoizes values derived from its columns
+    (:meth:`memoized`), chiefly the (dictionary, codes) factorization
+    of the columns it has grouped by (:meth:`factorize`).  Every
+    transforming operation builds a new frame with an empty memo, so
+    codes can never outlive the column they were computed from.  The
+    memo is not part of the pickled state.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]):
@@ -25,6 +35,15 @@ class LogFrame:
             raise ValueError(f"column lengths differ: {lengths}")
         self._columns: dict[str, np.ndarray] = dict(columns)
         self._length = distinct.pop()
+        self._memo: dict[Hashable, object] = {}
+
+    def __getstate__(self) -> dict:
+        return {"_columns": self._columns, "_length": self._length}
+
+    def __setstate__(self, state: dict) -> None:
+        self._columns = state["_columns"]
+        self._length = state["_length"]
+        self._memo = {}
 
     # -- basic protocol ------------------------------------------------
 
@@ -92,10 +111,13 @@ class LogFrame:
         return self.take(slice(0, n))
 
     def sort_values(self, name: str, descending: bool = False) -> "LogFrame":
-        """Rows sorted by one column (stable)."""
-        order = np.argsort(self.col(name), kind="stable")
+        """Rows sorted by one column (stable: tied rows keep their
+        input order in both directions)."""
         if descending:
-            order = order[::-1]
+            _, codes = self.factorize(name)
+            order = np.argsort(-codes, kind="stable")
+        else:
+            order = np.argsort(self.col(name), kind="stable")
         return self.take(order)
 
     def sample(self, fraction: float, rng: np.random.Generator) -> "LogFrame":
@@ -113,18 +135,57 @@ class LogFrame:
 
     # -- aggregation -----------------------------------------------------
 
+    def memoized(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, evaluated once per frame and *key*.
+
+        For values derived from this frame's columns alone; *key* is
+        conventionally the function that derives them.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def factorize(
+        self, name: str, key: Callable | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Dictionary-encode column *name*: ``(values, codes)``.
+
+        Equal to ``np.unique(column, return_inverse=True)``: the sorted
+        distinct values and, per row, the index of its value.  With
+        *key*, each distinct value is mapped through ``key`` once and
+        the result is the factorization of the mapped column (e.g.
+        ``key=registered_domain`` groups hosts by domain).  Memoized
+        per frame and ``(name, key)``.
+        """
+        return self.memoized(
+            (LogFrame.factorize, name, key), lambda: self._encode(name, key)
+        )
+
+    def _encode(
+        self, name: str, key: Callable | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if key is None:
+            return _factorize(self.col(name))
+        values, codes = self.factorize(name)
+        mapped = np.empty(len(values), dtype=object)
+        mapped[:] = [key(value) for value in values.tolist()]
+        mapped_values, mapped_codes = _factorize(mapped)
+        return mapped_values, mapped_codes[codes]
+
     def value_counts(self, name: str) -> list[tuple[object, int]]:
         """Distinct values of a column with counts, most frequent first.
 
         Ties are broken by value so results are deterministic.
         """
-        values, counts = np.unique(self.col(name), return_counts=True)
-        order = np.lexsort((values, -counts))
+        values, codes = self.factorize(name)
+        counts = np.bincount(codes, minlength=len(values))
+        # values are sorted, so a stable sort on count breaks ties by value
+        order = np.argsort(-counts, kind="stable")
         return [(values[i], int(counts[i])) for i in order]
 
     def nunique(self, name: str) -> int:
         """Number of distinct values in a column."""
-        return len(np.unique(self.col(name)))
+        return len(self.factorize(name)[0])
 
     def groupby(self, name: str) -> "GroupBy":
         """Group rows by one column (see :class:`GroupBy`)."""
@@ -147,6 +208,24 @@ class LogFrame:
 
     def __repr__(self) -> str:
         return f"LogFrame({self._length} rows × {len(self._columns)} cols)"
+
+
+def _factorize(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(column, return_inverse=True)``, computed for object
+    columns by hashing instead of sorting the rows: only the distinct
+    values are sorted (string cells repeat massively), and every row
+    costs one C-level dict lookup."""
+    if column.dtype != object:
+        return np.unique(column, return_inverse=True)
+    cells = column.tolist()
+    distinct = sorted(dict.fromkeys(cells))
+    code_of = {value: code for code, value in enumerate(distinct)}
+    values = np.empty(len(distinct), dtype=object)
+    values[:] = distinct
+    codes = np.fromiter(
+        map(code_of.__getitem__, cells), dtype=np.intp, count=len(cells)
+    )
+    return values, codes
 
 
 def concat(frames: Iterable[LogFrame]) -> LogFrame:

@@ -5,9 +5,13 @@ scenario is ground truth, and the recovery must re-derive it from the
 logs alone.
 """
 
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.analysis.stringfilter import (
+    _run_corpus,
     categorize_suspected,
     keyword_stats,
     recover_censored_domains,
@@ -201,6 +205,40 @@ class TestKeywordRecovery:
         assert keywords[0] == "proxy"  # the paper's dominant keyword
         # no false positives outside the policy's keyword list
         assert set(keywords) <= set(KEYWORDS)
+
+
+_fragments = st.text(alphabet="abcxyz019./?=&-_ ", max_size=12)
+_tokens = st.from_regex(r"[a-z0-9]{4,24}", fullmatch=True)
+
+
+class TestRunCorpus:
+    """The allowed-run corpus answers token membership exactly as the
+    full newline-joined allowed texts do."""
+
+    @given(
+        st.lists(st.tuples(_fragments, _fragments, _fragments), max_size=8),
+        st.lists(_tokens, max_size=10),
+        st.data(),
+    )
+    def test_membership_matches_full_corpus(self, rows, tokens, data):
+        # host and path are joined with no separator, exactly as
+        # _matchable_texts builds them, so runs may span the join
+        texts = [f"{h}{p}?{q}".lower() for h, p, q in rows]
+        full = "\n".join(texts)
+        for text in texts:  # substrings of the texts: the positive cases
+            if len(text) >= 4:
+                start = data.draw(st.integers(0, len(text) - 4))
+                end = data.draw(st.integers(start + 4, len(text)))
+                tokens.append(text[start:end])
+        runs = _run_corpus(texts)
+        for token in tokens:
+            if re.fullmatch(r"[a-z0-9]{4,}", token):  # a candidate's shape
+                assert (token in runs) == (token in full), token
+
+    def test_host_path_join_forms_one_run(self):
+        runs = _run_corpus(["ab.comproxy/x?q=1", "abc"])
+        assert runs == "comproxy"
+        assert "mpro" in runs
 
 
 class TestKeywordStats:

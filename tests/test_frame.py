@@ -1,5 +1,7 @@
 """Tests for the columnar engine (repro.frame)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +75,14 @@ class TestLogFrame:
         frame = small_frame().sort_values("v", descending=True)
         assert frame.head(2)["v"].tolist() == [6, 5]
 
+    def test_sort_is_stable_in_both_directions(self):
+        frame = small_frame()
+        ascending = frame.sort_values("k")
+        assert ascending["v"].tolist() == [1, 3, 6, 2, 5, 4]
+        descending = frame.sort_values("k", descending=True)
+        assert descending["k"].tolist() == ["c", "b", "b", "a", "a", "a"]
+        assert descending["v"].tolist() == [4, 2, 5, 1, 3, 6]
+
     def test_value_counts_sorted_desc_then_by_value(self):
         assert small_frame().value_counts("k") == [("a", 3), ("b", 2), ("c", 1)]
 
@@ -98,6 +108,106 @@ class TestLogFrame:
 
     def test_repr(self):
         assert "6 rows" in repr(small_frame())
+
+
+def assert_factorize_matches_unique(frame: LogFrame, name: str) -> None:
+    values, codes = frame.factorize(name)
+    expected_values, expected_codes = np.unique(frame[name], return_inverse=True)
+    assert values.dtype == expected_values.dtype
+    assert values.tolist() == expected_values.tolist()
+    assert codes.tolist() == expected_codes.tolist()
+
+
+_cells = st.sampled_from(["", "-", "a", "b", "ab", "B", "www.x.com", "x.com"])
+
+
+def objects(values: list) -> np.ndarray:
+    array = np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+class TestFactorize:
+    @given(st.lists(st.tuples(_cells, st.integers(-5, 5)), max_size=40))
+    def test_matches_np_unique(self, rows):
+        frame = LogFrame({
+            "s": objects([s for s, _ in rows]),
+            "i": np.array([i for _, i in rows], dtype=np.int64),
+        })
+        for name in ("s", "i"):
+            assert_factorize_matches_unique(frame, name)
+
+    @given(st.lists(_cells, min_size=1, max_size=40), st.data())
+    def test_matches_np_unique_after_transforms(self, strings, data):
+        frame = LogFrame({"k": objects(strings), "v": np.arange(len(strings))})
+        frame.factorize("k")  # warm the source frame's memo
+        mask = np.array(data.draw(
+            st.lists(st.booleans(), min_size=len(strings), max_size=len(strings))
+        ))
+        order = np.array(data.draw(st.permutations(range(len(strings)))))
+        replaced = objects(data.draw(
+            st.lists(_cells, min_size=len(strings), max_size=len(strings))
+        ))
+        for derived in (
+            frame.where(mask),
+            frame.take(order),
+            frame.with_column("k", replaced),
+            concat([frame, frame.where(mask)]),
+        ):
+            assert_factorize_matches_unique(derived, "k")
+            assert_factorize_matches_unique(derived, "v")
+
+    def test_empty_and_single_value(self):
+        assert_factorize_matches_unique(small_frame().where(np.zeros(6, bool)), "k")
+        single = LogFrame({"k": np.array(["a"] * 4, dtype=object)})
+        assert_factorize_matches_unique(single, "k")
+        assert single.factorize("k")[1].tolist() == [0, 0, 0, 0]
+
+    def test_key_maps_each_distinct_value(self):
+        calls = []
+
+        def first_letter(value):
+            calls.append(value)
+            return value[0]
+
+        frame = LogFrame({
+            "k": np.array(["bx", "a", "by", "a", "bx"], dtype=object),
+        })
+        values, codes = frame.factorize("k", first_letter)
+        assert values.tolist() == ["a", "b"]
+        assert codes.tolist() == [1, 0, 1, 0, 1]
+        assert sorted(calls) == ["a", "bx", "by"]
+
+    def test_memoized_per_frame(self):
+        frame = small_frame()
+        first = frame.factorize("k")
+        second = frame.factorize("k")
+        assert first[0] is second[0] and first[1] is second[1]
+        calls = []
+        for _ in range(2):
+            assert frame.memoized("key", lambda: calls.append(1) or 7) == 7
+        assert calls == [1]
+        assert small_frame().memoized("key", lambda: 8) == 8
+
+    def test_with_column_never_reuses_stale_codes(self):
+        frame = small_frame()
+        frame.factorize("k")
+        replaced = frame.with_column(
+            "k", np.array(["z", "z", "y", "y", "x", "x"], dtype=object)
+        )
+        values, codes = replaced.factorize("k")
+        assert values.tolist() == ["x", "y", "z"]
+        assert codes.tolist() == [2, 2, 1, 1, 0, 0]
+        assert replaced.value_counts("k") == [("x", 2), ("y", 2), ("z", 2)]
+
+    def test_pickle_round_trip_carries_no_memo(self):
+        frame = small_frame()
+        plain = pickle.dumps(frame)
+        frame.factorize("k")
+        assert pickle.dumps(frame) == plain
+        restored = pickle.loads(plain)
+        assert restored._memo == {}
+        assert restored.value_counts("k") == frame.value_counts("k")
 
 
 class TestConcat:
