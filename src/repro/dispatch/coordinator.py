@@ -32,6 +32,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -43,7 +44,7 @@ from repro.dispatch.queue import (
     lease_ttl_from_env,
 )
 from repro.engine.pool import fold_shard
-from repro.metrics import MetricsRegistry
+from repro.metrics import MetricsRegistry, use_registry
 from repro.runstate import JOURNAL_NAME, RunCheckpoint, read_journal
 
 
@@ -173,7 +174,8 @@ def run_distributed(
         counters = queue.event_counters()
         if metrics is not None:
             _fold_metrics(metrics, verified, labels, len(resumed), counters)
-        output = job.merge([verified[label].result for label in labels])
+        with nullcontext() if metrics is None else use_registry(metrics):
+            output = job.merge([verified[label].result for label in labels])
         return DistributedRun(
             output=output,
             labels=labels,

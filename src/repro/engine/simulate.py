@@ -45,7 +45,7 @@ from repro.engine.pool import RetryPolicy, run_sharded
 from repro.engine.shards import child_seed, plan_shards
 from repro.faults import FaultPlan, ShardFailureReport
 from repro.logmodel.record import LogRecord
-from repro.metrics import MetricsRegistry, current_registry
+from repro.metrics import MetricsRegistry, current_registry, use_registry
 from repro.pipeline import (
     AnonymizeStage,
     DayTrafficSource,
@@ -290,7 +290,8 @@ def simulate_to_logs(
         fault_plan=fault_plan, checkpoint=checkpoint,
         batch_size=batch_size,
     )
-    return merged.write_dir(Path(out_dir))
+    with nullcontext() if metrics is None else use_registry(metrics):
+        return merged.write_dir(Path(out_dir))
 
 
 def build_scenario_sharded(

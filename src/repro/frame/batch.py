@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.logmodel.classify import classify_batch
 from repro.logmodel.fields import FIELDS
-from repro.logmodel.record import LogRecord, epoch_to_date_time
+from repro.logmodel.record import MINUTE_STAMPS, SECOND_STAMPS, LogRecord
+from repro.timeline import day_string
 
 #: Batch columns in LogRecord attribute order, with their dtypes.
 #: Numeric fields use int64; everything else is an object column of
@@ -239,22 +240,21 @@ def _day_strings(days: np.ndarray) -> list[str]:
     """``YYYY-MM-DD`` per row, computed once per distinct log day."""
     uniques, inverse = np.unique(days, return_inverse=True)
     mapped = np.array(
-        [epoch_to_date_time(int(day) * 86400)[0] for day in uniques],
-        dtype=object,
+        [day_string(day) for day in uniques.tolist()], dtype=object
     )
     return mapped[inverse].tolist()
 
-_DIGIT_PAIRS = np.array([f"{i:02d}" for i in range(60)], dtype=object)
+
+_MINUTE_STAMPS = np.array(MINUTE_STAMPS, dtype=object)
+_SECOND_STAMPS = np.array(SECOND_STAMPS, dtype=object)
 
 
 def _time_strings(seconds: np.ndarray) -> list[str]:
-    """``HH:MM:SS`` per row from seconds-of-day, via zero-padded
-    digit-pair lookup tables (no per-row formatting calls)."""
-    hours = _DIGIT_PAIRS[seconds // 3600]
-    minutes = _DIGIT_PAIRS[(seconds // 60) % 60]
-    secs = _DIGIT_PAIRS[seconds % 60]
-    colon = np.full(len(seconds), ":", dtype=object)
-    return (hours + colon + minutes + colon + secs).tolist()
+    """``HH:MM:SS`` per row from seconds-of-day, via the serializer's
+    minute and second lookup tables (no per-row formatting calls)."""
+    return (
+        _MINUTE_STAMPS[seconds // 60] + _SECOND_STAMPS[seconds % 60]
+    ).tolist()
 
 
 def concat_batches(batches: Iterable[RecordBatch]) -> RecordBatch:

@@ -13,14 +13,22 @@ from dataclasses import dataclass, field
 
 from repro.logmodel.classify import NO_EXCEPTION, TrafficClass, classify
 from repro.logmodel.fields import FIELDS
+from repro.timeline import SECONDS_PER_DAY, day_string
 
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
 
 
+#: ``HH:MM:`` for every minute of a day and ``SS`` for every second of
+#: a minute: a time-of-day string is two lookups and one concatenation.
+MINUTE_STAMPS = tuple(f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60))
+SECOND_STAMPS = tuple(f"{s:02d}" for s in range(60))
+
+
 def epoch_to_date_time(epoch: int) -> tuple[str, str]:
     """Split an epoch timestamp into the log's (date, time) strings."""
-    stamp = _EPOCH + dt.timedelta(seconds=int(epoch))
-    return stamp.strftime("%Y-%m-%d"), stamp.strftime("%H:%M:%S")
+    day, second = divmod(int(epoch), SECONDS_PER_DAY)
+    minute, second = divmod(second, 60)
+    return day_string(day), MINUTE_STAMPS[minute] + SECOND_STAMPS[second]
 
 
 def date_time_to_epoch(date: str, time: str) -> int:
@@ -77,35 +85,34 @@ class LogRecord:
     def to_row(self) -> list[str]:
         """Serialize to the 26-column CSV row, in schema order."""
         date, time = epoch_to_date_time(self.epoch)
-        values = {
-            "date": date,
-            "time": time,
-            "time-taken": str(self.time_taken),
-            "c-ip": self.c_ip,
-            "cs-username": self.cs_username,
-            "cs-auth-group": self.cs_auth_group,
-            "x-exception-id": self.x_exception_id,
-            "sc-filter-result": self.sc_filter_result,
-            "cs-categories": self.cs_categories,
-            "cs-referer": self.cs_referer,
-            "sc-status": str(self.sc_status),
-            "s-action": self.s_action,
-            "cs-method": self.cs_method,
-            "rs-content-type": self.rs_content_type,
-            "cs-uri-scheme": self.cs_uri_scheme,
-            "cs-host": self.cs_host,
-            "cs-uri-port": str(self.cs_uri_port),
-            "cs-uri-path": self.cs_uri_path,
-            "cs-uri-query": self.cs_uri_query,
-            "cs-uri-ext": self.cs_uri_ext,
-            "cs-user-agent": self.cs_user_agent,
-            "s-ip": self.s_ip,
-            "sc-bytes": str(self.sc_bytes),
-            "cs-bytes": str(self.cs_bytes),
-            "x-virus-id": self.x_virus_id,
-            "s-supplier-name": self.s_supplier_name,
-        }
-        return [values[name] for name in FIELDS]
+        return [
+            date,
+            time,
+            str(self.time_taken),
+            self.c_ip,
+            self.cs_username,
+            self.cs_auth_group,
+            self.x_exception_id,
+            self.sc_filter_result,
+            self.cs_categories,
+            self.cs_referer,
+            str(self.sc_status),
+            self.s_action,
+            self.cs_method,
+            self.rs_content_type,
+            self.cs_uri_scheme,
+            self.cs_host,
+            str(self.cs_uri_port),
+            self.cs_uri_path,
+            self.cs_uri_query,
+            self.cs_uri_ext,
+            self.cs_user_agent,
+            self.s_ip,
+            str(self.sc_bytes),
+            str(self.cs_bytes),
+            self.x_virus_id,
+            self.s_supplier_name,
+        ]
 
     @classmethod
     def from_row(cls, row: list[str]) -> "LogRecord":

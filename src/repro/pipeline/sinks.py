@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import sys
+import time
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -28,8 +29,9 @@ from repro.frame.io import (
 from repro.frame.logframe import LogFrame
 from repro.logmodel.elff import DEFAULT_SOFTWARE, elff_header, open_log_writer
 from repro.logmodel.record import LogRecord
+from repro.metrics import current_registry
 from repro.pipeline.core import Sink
-from repro.timeline import epoch_day
+from repro.timeline import day_string, epoch_day
 
 
 class CountSink(Sink):
@@ -405,8 +407,7 @@ class GroupedElffSink(Sink):
                 batch.col("epoch") // 86400, return_inverse=True
             )
             mapped = np.array(
-                [epoch_day(int(day) * 86400) for day in uniques.tolist()],
-                dtype=object,
+                [day_string(day) for day in uniques.tolist()], dtype=object
             )
             parts.append(mapped[inverse])
         stems = parts[0]
@@ -452,17 +453,27 @@ class GroupedElffSink(Sink):
 
         The combined (ungrouped) form always writes its ``proxies``
         file, even for an empty stream, matching the legacy writer.
+        With a metrics registry active, each published file adds one
+        ``elff.write_seconds`` span (write-out, fsync and atomic
+        publish) and its size to the ``elff.bytes_written`` counter.
         """
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if not (self.per_proxy or self.per_day) and "proxies" not in self.groups:
             self.groups["proxies"] = ElffSink(software=self.software)
         suffix = ".log.gz" if self.compress else ".log"
-        return [
-            (out_dir / f"{stem}{suffix}",
-             self.groups[stem].write_to(out_dir / f"{stem}{suffix}"))
-            for stem in sorted(self.groups)
-        ]
+        registry = current_registry()
+        written = []
+        for stem in sorted(self.groups):
+            path = out_dir / f"{stem}{suffix}"
+            start = time.perf_counter()
+            written.append((path, self.groups[stem].write_to(path)))
+            if registry is not None:
+                registry.observe(
+                    "elff.write_seconds", time.perf_counter() - start
+                )
+                registry.inc("elff.bytes_written", path.stat().st_size)
+        return written
 
     def __len__(self) -> int:
         return sum(group.count for group in self.groups.values())

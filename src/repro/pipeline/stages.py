@@ -10,6 +10,7 @@ from repro.frame.batch import RecordBatch
 from repro.logmodel.anonymize import hash_client_ip, zero_client_ip
 from repro.logmodel.record import LogRecord
 from repro.pipeline.core import Stage
+from repro.timeline import SECONDS_PER_DAY
 
 
 class FleetStage(Stage):
@@ -35,18 +36,26 @@ class AnonymizeStage(Stage):
 
     Records with an epoch inside a user slice get keyed hashes, all
     others zeroed addresses.  Draws no randomness, so it can interleave
-    with the fleet stage without perturbing any stream.
+    with the fleet stage without perturbing any stream.  The spans must
+    be whole UTC days (``day_span``), so the per-record test is one
+    lookup of the record's day number.
     """
 
     def __init__(self, user_spans: list[tuple[int, int]]):
-        self.user_spans = list(user_spans)
+        for start, end in user_spans:
+            if start % SECONDS_PER_DAY or end % SECONDS_PER_DAY:
+                raise ValueError(
+                    f"user span {start}..{end} is not whole UTC days"
+                )
+        self._user_days = frozenset(
+            day
+            for start, end in user_spans
+            for day in range(start // SECONDS_PER_DAY, end // SECONDS_PER_DAY)
+        )
 
     def anonymize(self, record: LogRecord) -> LogRecord:
         """Anonymize one record in place; returns it."""
-        in_user_slice = any(
-            start <= record.epoch < end for start, end in self.user_spans
-        )
-        if in_user_slice:
+        if record.epoch // SECONDS_PER_DAY in self._user_days:
             record.c_ip = hash_client_ip(record.c_ip)
         else:
             record.c_ip = zero_client_ip(record.c_ip)
@@ -66,10 +75,9 @@ class AnonymizeStage(Stage):
         """
         if not len(batch):
             return batch
-        epochs = batch.col("epoch")
-        in_user_slice = np.zeros(len(batch), dtype=bool)
-        for start, end in self.user_spans:
-            in_user_slice |= (epochs >= start) & (epochs < end)
+        in_user_slice = np.isin(
+            batch.col("epoch") // SECONDS_PER_DAY, list(self._user_days)
+        )
         c_ips = batch.col("c_ip")
         anonymized = np.empty(len(batch), dtype=object)
         anonymized[in_user_slice] = _map_distinct(

@@ -52,6 +52,10 @@ class RequestView:
     For HTTPS CONNECT requests only the host and port are visible
     (Section 4 of the paper: path/query/ext are absent from HTTPS log
     entries), so ``path`` and ``query`` are empty there.
+
+    Rules read only these attributes, so any object carrying them can
+    be evaluated: the appliances pass their :class:`~repro.traffic.
+    Request` straight through instead of copying it per request.
     """
 
     host: str
@@ -64,7 +68,12 @@ class RequestView:
     user_agent: str = ""  # used only by browser-type rules
 
     def matchable_text(self) -> str:
-        return f"{self.host}{self.path}?{self.query}".lower()
+        return matchable_text(self)
+
+
+def matchable_text(request: RequestView) -> str:
+    """The lowercased host+path+query that keyword rules scan."""
+    return f"{request.host}{request.path}?{request.query}".lower()
 
 
 class KeywordRule:
@@ -81,7 +90,7 @@ class KeywordRule:
         self.name = name
 
     def evaluate(self, request: RequestView) -> Verdict | None:
-        text = request.matchable_text()
+        text = matchable_text(request)
         for keyword in self.keywords:
             if keyword in text:
                 return Verdict(Action.DENY, _DENIED, f"{self.name}:{keyword}")

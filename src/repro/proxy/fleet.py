@@ -28,7 +28,12 @@ from repro.policy.errors import (
 )
 from repro.policy.syria import SyrianPolicy
 from repro.proxy.sg9000 import SG9000, CategoryNaming
-from repro.timeline import SG42_ONLY_DAYS, USER_SLICE_DAYS, day_span
+from repro.timeline import (
+    SECONDS_PER_DAY,
+    SG42_ONLY_DAYS,
+    USER_SLICE_DAYS,
+    day_epoch,
+)
 from repro.traffic import Request
 
 #: Proxies that log the default category as ``none`` (the paper finds
@@ -131,33 +136,32 @@ class ProxyFleet:
             )
             for name, proxy in self.proxies.items()
         }
-        self._sg42_spans = [day_span(day) for day in SG42_ONLY_DAYS]
-        self._user_spans = [day_span(day) for day in USER_SLICE_DAYS]
+        # Availability (July: SG-42 only) and the user slice (July
+        # 22-23: Table 3's D_user error mix on the variant appliances,
+        # which keep the per-component Tor models) are whole UTC days,
+        # so both resolve from the day number alone.
+        sg42_days = {day_epoch(day) // SECONDS_PER_DAY for day in SG42_ONLY_DAYS}
+        user_days = {day_epoch(day) // SECONDS_PER_DAY for day in USER_SLICE_DAYS}
+        self._default_day = (PROXY_NAMES, self.proxies)
+        self._days = {
+            day: (
+                ("SG-42",) if day in sg42_days else PROXY_NAMES,
+                self._user_slice_proxies if day in user_days else self.proxies,
+            )
+            for day in sg42_days | user_days
+        }
 
     def active_proxies(self, epoch: int) -> tuple[str, ...]:
         """Proxies whose logs exist at *epoch* (July = SG-42 only)."""
-        for start, end in self._sg42_spans:
-            if start <= epoch < end:
-                return ("SG-42",)
-        return PROXY_NAMES
-
-    def _in_user_slice(self, epoch: int) -> bool:
-        return any(start <= epoch < end for start, end in self._user_spans)
+        return self._days.get(epoch // SECONDS_PER_DAY, self._default_day)[0]
 
     def process(self, request: Request, rng: np.random.Generator) -> LogRecord:
         """Route and filter one request."""
-        active = self.active_proxies(request.epoch)
+        active, appliances = self._days.get(
+            request.epoch // SECONDS_PER_DAY, self._default_day
+        )
         name = self.routing.route(request, active, rng)
-        if self._in_user_slice(request.epoch) and request.component not in (
-            "tor-onion",
-            "tor-http",
-        ):
-            # The July 22-23 slice shows a distinct error mix
-            # (Table 3's D_user column); use the variant appliance with
-            # the user-slice error model.
-            record = self._user_slice_proxies[name].process(request, rng)
-        else:
-            record = self.proxies[name].process(request, rng)
+        record = appliances[name].process(request, rng)
         registry = current_registry()
         if registry is not None:
             registry.inc("fleet.requests")

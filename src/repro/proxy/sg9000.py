@@ -11,8 +11,8 @@ from repro.logmodel.record import LogRecord
 from repro.metrics import current_registry
 from repro.policy.cache import CacheModel
 from repro.policy.engine import PolicyEngine
-from repro.policy.errors import ErrorModel
-from repro.policy.rules import Action, RequestView
+from repro.policy.errors import ErrorModel, draw_allowed_status
+from repro.policy.rules import Action
 from repro.traffic import Request
 
 
@@ -46,10 +46,6 @@ _STATUS_BY_EXCEPTION = {
     "unsupported_encoding": 415,
     "invalid_response": 502,
 }
-
-_ALLOWED_STATUSES = (200, 304, 302, 404)
-_ALLOWED_STATUS_WEIGHTS = (0.82, 0.11, 0.04, 0.03)
-_ALLOWED_STATUS_CUMULATIVE = np.cumsum(_ALLOWED_STATUS_WEIGHTS)
 
 
 class SG9000:
@@ -88,17 +84,7 @@ class SG9000:
         registry = current_registry()
         if registry is not None:
             registry.inc("proxy.requests." + self.name)
-        view = RequestView(
-            host=request.host,
-            path=request.path,
-            query=request.query,
-            port=request.port,
-            scheme=request.scheme,
-            method=request.method,
-            epoch=request.epoch,
-            user_agent=request.user_agent,
-        )
-        verdict = self.engine.evaluate(view)
+        verdict = self.engine.evaluate(request)
 
         exception = verdict.exception_id
         if verdict.action is Action.ALLOW:
@@ -127,10 +113,7 @@ class SG9000:
         rng: np.random.Generator,
     ) -> LogRecord:
         if exception == "-":
-            status_index = int(np.searchsorted(
-                _ALLOWED_STATUS_CUMULATIVE, rng.random(), side="right"
-            ))
-            status = _ALLOWED_STATUSES[min(status_index, 3)]
+            status = draw_allowed_status(rng)
             sc_bytes = int(rng.lognormal(8.0, 1.3))
             supplier = request.host
         else:

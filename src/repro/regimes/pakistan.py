@@ -29,7 +29,7 @@ from repro.logmodel.record import LogRecord
 from repro.metrics import current_registry
 from repro.net.url import is_ip_like, registered_domain
 from repro.policy.engine import PolicyEngine
-from repro.policy.errors import ErrorModel
+from repro.policy.errors import ErrorModel, draw_allowed_status
 from repro.policy.rules import Action, RequestView, Verdict
 from repro.policy.syria import (
     blocked_domains_from_sites,
@@ -50,9 +50,6 @@ BLOCKPAGE = "http_blockpage"
 #: Where the 302 block pages point (the surveyed ISPs redirect to a
 #: handful of government notice hosts; one stands in for them here).
 BLOCKPAGE_HOST = "block.pta.gov.pk"
-
-_ALLOWED_STATUSES = (200, 304, 302, 404)
-_ALLOWED_STATUS_CUMULATIVE = np.cumsum((0.82, 0.11, 0.04, 0.03))
 
 
 class DnsInjectionRule:
@@ -146,17 +143,7 @@ class DnsInjectorFleet:
         self.error_model = error_model or ErrorModel()
 
     def process(self, request: Request, rng: np.random.Generator) -> LogRecord:
-        view = RequestView(
-            host=request.host,
-            path=request.path,
-            query=request.query,
-            port=request.port,
-            scheme=request.scheme,
-            method=request.method,
-            epoch=request.epoch,
-            user_agent=request.user_agent,
-        )
-        verdict = self.policy.engine.evaluate(view)
+        verdict = self.policy.engine.evaluate(request)
         exception = verdict.exception_id
         if verdict.action is Action.ALLOW:
             error = self.error_model.sample(rng)
@@ -177,10 +164,7 @@ class DnsInjectorFleet:
         supplier = "-"
         content_type = "-"
         if exception == "-":
-            status_index = int(np.searchsorted(
-                _ALLOWED_STATUS_CUMULATIVE, rng.random(), side="right"
-            ))
-            status = _ALLOWED_STATUSES[min(status_index, 3)]
+            status = draw_allowed_status(rng)
             sc_bytes = int(rng.lognormal(8.0, 1.3))
             supplier = request.host
             content_type = request.content_type

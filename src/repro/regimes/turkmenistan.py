@@ -34,8 +34,8 @@ from repro.metrics import current_registry
 from repro.net.ip import IPv4Network, parse_ipv4
 from repro.net.url import is_ip_like
 from repro.policy.engine import PolicyEngine
-from repro.policy.errors import ErrorModel
-from repro.policy.rules import Action, RequestView, Verdict
+from repro.policy.errors import ErrorModel, draw_allowed_status
+from repro.policy.rules import Action, RequestView, Verdict, matchable_text
 from repro.regimes.base import (
     STATUS_BY_ERROR_EXCEPTION,
     RegimeProfile,
@@ -58,9 +58,6 @@ TM_KEYWORDS: tuple[str, ...] = (
     "psiphon",
 )
 
-_ALLOWED_STATUSES = (200, 304, 302, 404)
-_ALLOWED_STATUS_CUMULATIVE = np.cumsum((0.82, 0.11, 0.04, 0.03))
-
 
 class DpiKeywordRule:
     """Substring blacklist enforced by RST injection."""
@@ -70,7 +67,7 @@ class DpiKeywordRule:
         self.name = name
 
     def evaluate(self, request: RequestView) -> Verdict | None:
-        text = request.matchable_text()
+        text = matchable_text(request)
         for keyword in self.keywords:
             if keyword in text:
                 return Verdict(
@@ -158,17 +155,7 @@ class DpiFleet:
         self.error_model = error_model or ErrorModel()
 
     def process(self, request: Request, rng: np.random.Generator) -> LogRecord:
-        view = RequestView(
-            host=request.host,
-            path=request.path,
-            query=request.query,
-            port=request.port,
-            scheme=request.scheme,
-            method=request.method,
-            epoch=request.epoch,
-            user_agent=request.user_agent,
-        )
-        verdict = self.policy.engine.evaluate(view)
+        verdict = self.policy.engine.evaluate(request)
         exception = verdict.exception_id
         if verdict.action is Action.ALLOW:
             error = self.error_model.sample(rng)
@@ -189,10 +176,7 @@ class DpiFleet:
         supplier = "-"
         content_type = "-"
         if exception == "-":
-            status_index = int(np.searchsorted(
-                _ALLOWED_STATUS_CUMULATIVE, rng.random(), side="right"
-            ))
-            status = _ALLOWED_STATUSES[min(status_index, 3)]
+            status = draw_allowed_status(rng)
             sc_bytes = int(rng.lognormal(8.0, 1.3))
             supplier = request.host
             content_type = request.content_type

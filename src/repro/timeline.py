@@ -9,8 +9,11 @@ analysis.
 from __future__ import annotations
 
 import datetime as dt
+from functools import lru_cache
 
 _EPOCH = dt.datetime(1970, 1, 1, tzinfo=dt.timezone.utc)
+
+SECONDS_PER_DAY = 86400
 
 
 def day_epoch(date: str) -> int:
@@ -21,14 +24,23 @@ def day_epoch(date: str) -> int:
 
 def epoch_day(epoch: int) -> str:
     """Inverse of :func:`day_epoch` (date of the timestamp)."""
-    return (_EPOCH + dt.timedelta(seconds=int(epoch))).strftime("%Y-%m-%d")
+    return day_string(int(epoch) // SECONDS_PER_DAY)
+
+
+@lru_cache(maxsize=4096)
+def day_string(day: int) -> str:
+    """``YYYY-MM-DD`` of UTC day number *day* (whole days since the epoch).
+
+    Every date string the program writes comes from here.  Hot paths
+    ask once per record while a log covers a handful of days, so the
+    ``strftime`` runs once per distinct day.
+    """
+    return (_EPOCH + dt.timedelta(days=day)).strftime("%Y-%m-%d")
 
 
 def hour_of_day(epoch: int) -> int:
     return (int(epoch) % 86400) // 3600
 
-
-SECONDS_PER_DAY = 86400
 
 #: Days for which only proxy SG-42 logs exist.
 SG42_ONLY_DAYS: tuple[str, ...] = ("2011-07-22", "2011-07-23", "2011-07-31")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.frame import LogFrame, frame_from_records
-from repro.logmodel.record import LogRecord
+from repro.logmodel.fields import FIELDS
+from repro.logmodel.record import LogRecord, epoch_to_date_time
 from repro.timeline import day_epoch
 
 DEFAULT_EPOCH = day_epoch("2011-08-03") + 10 * 3600
@@ -25,6 +26,41 @@ def make_record(**overrides) -> LogRecord:
     )
     values.update(overrides)
     return LogRecord(**values)
+
+
+def reference_row(record: LogRecord) -> list[str]:
+    """Oracle for :meth:`LogRecord.to_row`: every wire field keyed by
+    its ELFF name, then read back in ``FIELDS`` order."""
+    date, time = epoch_to_date_time(record.epoch)
+    values = {
+        "date": date,
+        "time": time,
+        "time-taken": str(record.time_taken),
+        "c-ip": record.c_ip,
+        "cs-username": record.cs_username,
+        "cs-auth-group": record.cs_auth_group,
+        "x-exception-id": record.x_exception_id,
+        "sc-filter-result": record.sc_filter_result,
+        "cs-categories": record.cs_categories,
+        "cs-referer": record.cs_referer,
+        "sc-status": str(record.sc_status),
+        "s-action": record.s_action,
+        "cs-method": record.cs_method,
+        "rs-content-type": record.rs_content_type,
+        "cs-uri-scheme": record.cs_uri_scheme,
+        "cs-host": record.cs_host,
+        "cs-uri-port": str(record.cs_uri_port),
+        "cs-uri-path": record.cs_uri_path,
+        "cs-uri-query": record.cs_uri_query,
+        "cs-uri-ext": record.cs_uri_ext,
+        "cs-user-agent": record.cs_user_agent,
+        "s-ip": record.s_ip,
+        "sc-bytes": str(record.sc_bytes),
+        "cs-bytes": str(record.cs_bytes),
+        "x-virus-id": record.x_virus_id,
+        "s-supplier-name": record.s_supplier_name,
+    }
+    return [values[name] for name in FIELDS]
 
 
 def make_frame(rows: list[dict]) -> LogFrame:

@@ -21,6 +21,7 @@ from repro.engine import (
     load_frames,
     run_sharded,
     simulate_day_records,
+    simulate_to_logs,
     write_logs,
 )
 from repro.engine import pool as pool_module
@@ -157,6 +158,17 @@ class TestPipelineMetrics:
         )
         assert bare == instrumented
 
+    def test_simulate_times_each_published_file(self, tmp_path):
+        metrics = MetricsRegistry()
+        written = simulate_to_logs(
+            TINY, tmp_path, per_proxy=True, per_day=True, metrics=metrics
+        )
+        assert metrics.timers["elff.write_seconds"].count == len(written)
+        assert metrics.counters["elff.bytes_written"] == sum(
+            path.stat().st_size for path, _ in written
+        )
+        assert current_registry() is None
+
     def test_analyze_counters_match_read_stats(self, tmp_path):
         paths = [
             path for path, _ in write_logs(
@@ -233,6 +245,8 @@ class TestCliMetrics:
         assert serial["workers"] == 1 and parallel["workers"] == 4
         assert serial["totals"]["records"] == parallel["totals"]["records"]
         assert len(serial["shards"]) == len(parallel["shards"]) == 9
+        assert serial["counters"]["elff.bytes_written"] == len(logs[0])
+        assert serial["timers"]["elff.write_seconds"]["count"] == 1
 
     def test_analyze_streaming_metrics(self, tmp_path, capsys):
         out = tmp_path / "logs"

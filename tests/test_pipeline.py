@@ -104,6 +104,16 @@ class TestPipeline:
         assert base.stages == ()
         assert len(extended.stages) == 1
 
+    def test_anonymize_classifies_by_whole_day(self):
+        start = day_epoch("2011-07-22")
+        stage = AnonymizeStage([(start, start + 86400)])
+        inside = stage.anonymize(make_record(epoch=start + 86399, c_ip="1.2.3.4"))
+        after = stage.anonymize(make_record(epoch=start + 86400, c_ip="1.2.3.4"))
+        assert inside.c_ip != "0.0.0.0"
+        assert after.c_ip == "0.0.0.0"
+        with pytest.raises(ValueError, match="not whole UTC days"):
+            AnonymizeStage([(start, start + 3600)])
+
     def test_pipelines_are_lazy(self):
         def exploding():
             raise AssertionError("should not be pulled")
